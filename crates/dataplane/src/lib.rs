@@ -6,7 +6,7 @@
 //! code paths:
 //!
 //! - [`Topology`] — switches, links, hosts, with builders for the paper's
-//!   topologies ([`topology`] module),
+//!   topologies and `k`-ary fat-trees ([`topology`] module),
 //! - [`SimSwitch`] — an OpenFlow switch: flow tables, ports, counters
 //!   ([`switch`] module),
 //! - [`FlowSpec`] — flow-level traffic ([`flow`] module),
@@ -14,6 +14,8 @@
 //!   crediting with link-capacity contention, flow-table expiry, and a
 //!   synchronous control channel to whatever implements
 //!   [`ControllerLink`] ([`network`] module),
+//! - [`TimingWheel`] — the hierarchical timing wheel that makes per-tick
+//!   flow expiry O(due switches) ([`wheel`] module),
 //! - [`workload`] — benign mixes, DDoS floods, Crossfire-style link
 //!   flooding, and flash crowds.
 //!
@@ -46,18 +48,19 @@
 pub mod flow;
 pub mod link;
 pub mod network;
-pub mod shard;
 pub mod switch;
 pub mod topology;
 pub mod wheel;
 pub mod workload;
 
+#[cfg(test)]
+mod proptest_wheel;
+
 pub use flow::{ActiveFlow, FlowSpec};
 pub use link::{LinkModel, SimLink};
 pub use network::{
-    ControllerLink, ExpiryMode, LearningControllerStub, Network, NetworkConfig, NetworkCounters,
+    ControllerLink, LearningControllerStub, Network, NetworkConfig, NetworkCounters,
 };
-pub use shard::{ShardPlan, ShardedNetwork};
 pub use switch::{FlowCacheStats, SimSwitch};
 pub use topology::{HostSpec, LinkSpec, SwitchSpec, Topology};
 pub use wheel::TimingWheel;

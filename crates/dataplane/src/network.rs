@@ -12,7 +12,6 @@ use athena_openflow::{Action, OfMessage, PacketHeader};
 use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::{Dpid, FiveTuple, Ipv4Addr, LinkId, PortNo, SimDuration, SimTime, Xid};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// The data plane's view of its controllers.
 ///
@@ -53,19 +52,6 @@ pub trait ControllerLink {
     }
 }
 
-/// How the per-tick flow-expiry pass finds due entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpiryMode {
-    /// Hierarchical timing-wheel wake-ups: O(due switches) per tick.
-    #[default]
-    Wheel,
-    /// The pre-wheel reference: scan every switch's full table every
-    /// tick, O(total flows). Kept for differential tests (the wheel
-    /// must produce the identical FLOW_REMOVED stream) and as the
-    /// benchmark baseline the scale gate measures against.
-    Scan,
-}
-
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
@@ -79,8 +65,6 @@ pub struct NetworkConfig {
     /// asserted lossless) — the control channel then exercises the real
     /// codec, at the cost of the encode/decode work.
     pub wire_mode: Option<athena_openflow::OfVersion>,
-    /// How flow expiry locates due entries each tick.
-    pub expiry: ExpiryMode,
 }
 
 impl Default for NetworkConfig {
@@ -89,7 +73,6 @@ impl Default for NetworkConfig {
             tick: SimDuration::from_secs(1),
             max_punt_retries: 1,
             wire_mode: None,
-            expiry: ExpiryMode::Wheel,
         }
     }
 }
@@ -135,6 +118,10 @@ pub struct Network {
     egress: HashMap<(Dpid, PortNo), LinkId>,
     /// Host-facing `(dpid, port)` pairs — O(1) delivery check.
     host_ports: HashSet<(Dpid, PortNo)>,
+    /// The pre-wheel reference expiry: visit every switch every tick.
+    /// A test-only oracle the wheel is checked against (`proptest_wheel`).
+    #[cfg(test)]
+    pub(crate) scan_expiry: bool,
 }
 
 /// The network's telemetry instruments (detached until
@@ -203,6 +190,8 @@ impl Network {
             host_index,
             egress,
             host_ports,
+            #[cfg(test)]
+            scan_expiry: false,
         }
     }
 
@@ -229,9 +218,6 @@ impl Network {
     /// Schedules an expiry wake-up for `dpid` at its table's next
     /// deadline, unless an earlier or equal wake-up is outstanding.
     fn arm_switch(&mut self, dpid: Dpid) {
-        if self.config.expiry == ExpiryMode::Scan {
-            return;
-        }
         let Some(next) = self.switches.get(&dpid).and_then(|sw| sw.next_expiry()) else {
             return;
         };
@@ -461,29 +447,22 @@ impl Network {
         // one tick every fire shares the tick — so delivery runs in
         // dpid order, reproducing the naive dpid-sorted scan exactly.
         let tick_idx = self.tick_of(t);
-        let fired: Vec<Dpid> = match self.config.expiry {
-            ExpiryMode::Wheel => {
-                let mut due: Vec<Dpid> = self
-                    .wheel
-                    .advance(tick_idx)
-                    .into_iter()
-                    .map(|(_, dpid)| dpid)
-                    .collect();
-                due.dedup();
-                due
-            }
-            ExpiryMode::Scan => {
-                // Reference mode: visit every switch, sorted so
-                // FLOW_REMOVED delivery order never depends on hash
-                // iteration order.
-                let mut dpids: Vec<Dpid> = self.switches.keys().copied().collect();
-                dpids.sort();
-                dpids
-            }
-        };
-        let wheel_mode = self.config.expiry == ExpiryMode::Wheel;
+        let mut fired: Vec<Dpid> = self
+            .wheel
+            .advance(tick_idx)
+            .into_iter()
+            .map(|(_, dpid)| dpid)
+            .collect();
+        fired.dedup();
+        #[cfg(test)]
+        if self.scan_expiry {
+            // Reference oracle: visit every switch, in dpid order. The
+            // wheel still runs, but only the visit set decides expiry.
+            fired = self.switches.keys().copied().collect();
+            fired.sort();
+        }
         for dpid in fired {
-            if wheel_mode && self.armed.get(&dpid) == Some(&tick_idx) {
+            if self.armed.get(&dpid) == Some(&tick_idx) {
                 self.armed.remove(&dpid);
             }
             let due = self
@@ -492,9 +471,7 @@ impl Network {
                 .and_then(|sw| sw.next_expiry())
                 .is_some_and(|next| next <= t);
             if due {
-                if wheel_mode {
-                    self.tel.wheel_fired.inc();
-                }
+                self.tel.wheel_fired.inc();
                 let removed = match self.switches.get_mut(&dpid) {
                     Some(sw) => sw.expire(t),
                     None => Vec::new(),
@@ -509,15 +486,13 @@ impl Network {
                     let cmds = ctrl.on_message(dpid, msg, t);
                     self.apply_commands(cmds, ctrl);
                 }
-            } else if wheel_mode {
+            } else {
                 // Deadline moved later (traffic re-armed an idle
                 // timeout, entries were deleted, switch rebooted):
                 // the wake-up is stale. Re-arm at the real deadline.
                 self.tel.wheel_spurious.inc();
             }
-            if wheel_mode {
-                self.arm_switch(dpid);
-            }
+            self.arm_switch(dpid);
         }
 
         // 2. Activate flows whose start time has arrived.
@@ -941,13 +916,6 @@ pub(crate) fn apply_rewrites(actions: &[Action], mut pkt: PacketHeader) -> Packe
     pkt
 }
 
-/// Shared adjacency: `dpid -> [(out port, neighbor, neighbor's in port)]`.
-type SharedAdjacency = Arc<HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>>;
-
-/// One punt's frozen routing inputs `(ingress, flow, destination host,
-/// hop-distance map)` for the parallel batch fan-out.
-type PuntJob = (Dpid, FiveTuple, HostSpec, Arc<HashMap<Dpid, u32>>);
-
 /// A minimal reactive shortest-path controller used by the data-plane
 /// crate's own tests and examples. The full distributed controller lives
 /// in `athena-controller`.
@@ -968,13 +936,13 @@ pub struct LearningControllerStub {
     /// Host lookup by IP, built once — a linear scan over the host list
     /// per PACKET_IN melts down at 100k-host scale.
     host_of: HashMap<Ipv4Addr, usize>,
-    /// Adjacency built once; `Topology::shortest_path` rebuilds it per
-    /// call, which dominates batch punt handling on large fabrics.
-    /// `Arc` so batched punt handling can fan path computation out.
-    adj: SharedAdjacency,
+    /// Adjacency built once (`dpid -> [(out port, neighbor, neighbor's
+    /// in port)]`); `Topology::shortest_path` rebuilds it per call,
+    /// which dominates punt handling on large fabrics.
+    adj: HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>,
     /// Hop-distance maps keyed by destination switch, built lazily (one
     /// BFS per distinct destination edge switch, then O(path) per punt).
-    dist_cache: HashMap<Dpid, Arc<HashMap<Dpid, u32>>>,
+    dist_cache: HashMap<Dpid, HashMap<Dpid, u32>>,
 }
 
 impl LearningControllerStub {
@@ -989,7 +957,7 @@ impl LearningControllerStub {
         for (i, h) in topology.hosts.iter().enumerate() {
             host_of.entry(h.ip).or_insert(i);
         }
-        let adj = Arc::new(topology.adjacency());
+        let adj = topology.adjacency();
         LearningControllerStub {
             topology,
             idle_timeout: SimDuration::from_secs(30),
@@ -1018,25 +986,19 @@ impl LearningControllerStub {
         h
     }
 
-    /// Hop distances from every switch to `to` (BFS over the cached
-    /// adjacency), computed once per destination.
-    fn ensure_dists(&mut self, to: Dpid) -> Arc<HashMap<Dpid, u32>> {
-        if let Some(d) = self.dist_cache.get(&to) {
-            return Arc::clone(d);
-        }
+    /// Hop distances from every switch to `to` (BFS over `adj`).
+    fn dists_to(adj: &HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>, to: Dpid) -> HashMap<Dpid, u32> {
         let mut dist: HashMap<Dpid, u32> = HashMap::from([(to, 0)]);
         let mut queue = std::collections::VecDeque::from([to]);
         while let Some(cur) = queue.pop_front() {
             let d = dist.get(&cur).copied().unwrap_or(0);
-            for (_, next, _) in self.adj.get(&cur).into_iter().flatten() {
+            for (_, next, _) in adj.get(&cur).into_iter().flatten() {
                 if !dist.contains_key(next) {
                     dist.insert(*next, d + 1);
                     queue.push_back(*next);
                 }
             }
         }
-        let dist = Arc::new(dist);
-        self.dist_cache.insert(to, Arc::clone(&dist));
         dist
     }
 
@@ -1138,41 +1100,13 @@ impl ControllerLink for LearningControllerStub {
         let Some((ft, dst)) = self.punt_dst(&msg) else {
             return Vec::new();
         };
-        let dist = self.ensure_dists(dst.switch);
-        let cmds = Self::install_cmds(&self.adj, &dist, from, ft, dst, self.idle_timeout);
+        let dist = self
+            .dist_cache
+            .entry(dst.switch)
+            .or_insert_with(|| Self::dists_to(&self.adj, dst.switch));
+        let cmds = Self::install_cmds(&self.adj, dist, from, ft, dst, self.idle_timeout);
         self.installs += cmds.len() as u64;
         cmds
-    }
-
-    /// Pipeline-processes a whole punt batch: the per-destination
-    /// distance maps are warmed sequentially (shared cache), then every
-    /// punt's path + install sequence is computed in parallel. Output is
-    /// the in-order concatenation of what per-message handling returns.
-    fn on_packet_in_batch(
-        &mut self,
-        batch: Vec<(Dpid, OfMessage)>,
-        _now: SimTime,
-    ) -> Vec<(Dpid, OfMessage)> {
-        let idle = self.idle_timeout;
-        let jobs: Vec<PuntJob> = batch
-            .iter()
-            .filter_map(|(from, msg)| {
-                let (ft, dst) = self.punt_dst(msg)?;
-                let dist = self.ensure_dists(dst.switch);
-                Some((*from, ft, dst, dist))
-            })
-            .collect();
-        let adj = Arc::clone(&self.adj);
-        let per_punt: Vec<Vec<(Dpid, OfMessage)>> =
-            athena_parallel::par_map(jobs, move |(from, ft, dst, dist)| {
-                Self::install_cmds(&adj, dist, *from, *ft, *dst, idle)
-            });
-        let mut out = Vec::new();
-        for cmds in per_punt {
-            self.installs += cmds.len() as u64;
-            out.extend(cmds);
-        }
-        out
     }
 }
 
@@ -1253,11 +1187,42 @@ mod tests {
         assert_eq!(m.histogram("dataplane", "step_ns").snapshot().count, 8);
         // Per-switch lookup gauges were published for the ingress switch.
         assert!(m.gauge_with("dataplane", "table_lookups", "s1").get() > 0);
+        assert!(m.counter("dataplane", "wheel_armed").get() > 0);
+        assert_eq!(names::undeclared(&tel.report()), Vec::<String>::new());
         // The run span is in the trace with virtual stamps.
         let spans = tel.tracer().entries();
         assert!(spans
             .iter()
             .any(|e| e.name == "run_until" && e.sim_end == SimTime::from_secs(8)));
+    }
+
+    /// A flow starting between ticks is activated on the next tick
+    /// boundary: its activation packet misses and punts once, the
+    /// install lands, and that tick's traffic then hits the new rules.
+    /// Only reverse traffic punts again, from the other end. (A batched
+    /// engine that routes the activation packet and the tick's first
+    /// traffic in one round punts both before the install lands —
+    /// twice the packet-ins and installs for the same delivered bytes.)
+    #[test]
+    fn mid_tick_flow_punts_once_per_direction() {
+        for (reverse_ratio, packet_ins, installs) in [(0.0, 1, 3), (0.5, 2, 6)] {
+            let (mut net, mut ctrl, ft) = two_host_net();
+            net.inject_flows([FlowSpec::new(
+                ft,
+                SimTime::from_micros(500_000),
+                SimDuration::from_secs(3),
+                8_000_000,
+            )
+            .bidirectional(reverse_ratio)]);
+            net.run_until(SimTime::from_secs(5), &mut ctrl);
+            assert_eq!(
+                net.counters().packet_ins,
+                packet_ins,
+                "ratio {reverse_ratio}"
+            );
+            assert_eq!(ctrl.installs(), installs, "ratio {reverse_ratio}");
+            assert!(net.delivered_bytes() > 0);
+        }
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Property-based equivalence of the two expiry engines: the hierarchical
-//! timing wheel must be observationally identical to the naive per-tick
-//! full-table scan — same FLOW_REMOVED stream (order included), same
-//! counters, same surviving flow-table state — on arbitrary workloads.
+//! Property-based equivalence of wheel-driven expiry and the naive
+//! per-tick full-table scan, the test-only oracle kept in [`Network`]:
+//! same FLOW_REMOVED stream (order included), same counters, same
+//! surviving flow-table state — on arbitrary workloads.
 
-use athena_dataplane::{
-    ControllerLink, ExpiryMode, FlowSpec, LearningControllerStub, Network, NetworkConfig,
-    TimingWheel, Topology,
-};
+use crate::{ControllerLink, FlowSpec, LearningControllerStub, Network, TimingWheel, Topology};
 use athena_openflow::OfMessage;
 use athena_types::{Dpid, FiveTuple, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -50,19 +47,16 @@ fn arb_flow(topo: &Topology) -> impl Strategy<Value = FlowSpec> + use<> {
         })
 }
 
-/// Runs the same workload under one expiry mode and returns everything
-/// expiry can influence.
+/// Runs the same workload with wheel (`scan == false`) or scan expiry
+/// and returns everything expiry can influence.
 fn run_mode(
     topo: &Topology,
     flows: &[FlowSpec],
     idle_secs: u64,
-    mode: ExpiryMode,
+    scan: bool,
 ) -> (Vec<(Dpid, String)>, String, Vec<usize>) {
-    let config = NetworkConfig {
-        expiry: mode,
-        ..NetworkConfig::default()
-    };
-    let mut net = Network::with_config(topo.clone(), config);
+    let mut net = Network::new(topo.clone());
+    net.scan_expiry = scan;
     let mut ctrl = RemovalRecorder {
         inner: LearningControllerStub::new(&net),
         removed: Vec::new(),
@@ -91,8 +85,8 @@ proptest! {
         idle_secs in 1u64..6,
     ) {
         let topo = Topology::linear(4, 2);
-        let wheel = run_mode(&topo, &flows, idle_secs, ExpiryMode::Wheel);
-        let scan = run_mode(&topo, &flows, idle_secs, ExpiryMode::Scan);
+        let wheel = run_mode(&topo, &flows, idle_secs, false);
+        let scan = run_mode(&topo, &flows, idle_secs, true);
         prop_assert!(!wheel.0.is_empty(), "short idle timeouts must expire");
         prop_assert_eq!(&wheel.0, &scan.0, "FLOW_REMOVED streams diverge");
         prop_assert_eq!(&wheel.1, &scan.1, "counters diverge");

@@ -281,8 +281,7 @@ impl Topology {
     /// switch (`k^2/4 * hosts_per_edge` hosts total) — the scale knob
     /// the 100k-host benchmarks turn without inflating the switch count.
     ///
-    /// Layout (dpids are pod-contiguous so a contiguous dpid-range
-    /// partition puts whole pods in one shard):
+    /// Layout (dpids are pod-contiguous):
     /// - pod `p` (`0..k`) owns dpids `p*k+1 ..= p*k+k`: first the `k/2`
     ///   edge switches, then the `k/2` aggregation switches;
     /// - the `(k/2)^2` core switches follow at `k*k+1 ..`;

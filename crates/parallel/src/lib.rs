@@ -9,8 +9,6 @@
 //! - [`par_map`] / [`par_map_arc`] / [`par_map_indexed`] — map a
 //!   function over items on the pool, returning results **in submission
 //!   index order** regardless of worker count or steal interleaving,
-//! - [`par_map_take`] — the same, but each item is moved into its
-//!   runner (for mutating owned shards and handing them back),
 //! - [`par_map_reduce`] — ordered map + in-order fold, so floating-point
 //!   and order-sensitive reductions are byte-identical at any width,
 //! - [`scope`] — structured fork/join over arbitrary `'static` tasks,
@@ -276,26 +274,6 @@ where
     par_map_arc(&Arc::new(items), f)
 }
 
-/// Maps `f` over an owned vector in parallel, **moving** each item into
-/// the call that maps it, returning results in item order. The parallel
-/// engine for owned stateful partitions (the sharded dataplane's tick
-/// phases): move each shard in, mutate it, and hand it back inside `R`.
-pub fn par_map_take<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    let slots: Arc<Vec<Mutex<Option<T>>>> =
-        Arc::new(items.into_iter().map(|t| Mutex::new(Some(t))).collect());
-    run_ordered(slots.len(), threads(), move |i| {
-        let item = lock(&slots[i], "parallel/slots")
-            .take()
-            .expect("run_ordered hands each index to exactly one runner");
-        f(item)
-    })
-}
-
 /// Parallel map followed by an **ordered** in-order fold on the caller:
 /// `fold(.. fold(fold(init, f(items[0])), f(items[1])) ..)`. Because the
 /// fold order is fixed, non-commutative and floating-point reductions
@@ -483,23 +461,6 @@ mod tests {
         // Above the floor the ~8-chunks-per-runner rule is unchanged.
         assert_eq!(chunk_size(3000, 8), 46);
         assert_eq!(chunk_size(0, 4), 1);
-    }
-
-    #[test]
-    fn par_map_take_moves_items_and_preserves_order() {
-        #[derive(Debug, PartialEq)]
-        struct Owned(Vec<u64>);
-        for width in [1, 4, 8] {
-            let items: Vec<Owned> = (0..100u64).map(|i| Owned(vec![i; 3])).collect();
-            let got = with_threads(width, || {
-                par_map_take(items, |mut o| {
-                    o.0.push(o.0[0] * 2);
-                    o
-                })
-            });
-            assert_eq!(got.len(), 100, "width {width}");
-            assert_eq!(got[7], Owned(vec![7, 7, 7, 14]), "width {width}");
-        }
     }
 
     #[test]

@@ -117,20 +117,4 @@ echo "    streaming gate finished in ${stream_elapsed}s (bound: 60 s)"
 [ "$stream_elapsed" -lt 60 ]
 test -s target/BENCH_stream.json
 
-echo "==> scale gate (sharded engine byte-identity + fat-tree throughput smoke, < 60 s)"
-# Build the bench binary outside the timer, as above. The e2e proves the
-# sharded engine byte-identical at ATHENA_THREADS 1/2/4/8 under DDoS and
-# chaos schedules; table_scale re-proves it on fat-trees up to 3.2k
-# hosts in smoke mode (the ≥ 5x throughput bar applies to the full run, which
-# records BENCH_scale.json at 100k hosts). Never skipped.
-cargo build -q --release --offline -p athena-bench --bin table_scale
-scale_start=$(date +%s)
-cargo test -q --release --offline --test e2e_scale
-ATHENA_BENCH_SMOKE=1 ATHENA_SCALE_JSON=target/BENCH_scale.json \
-    ./target/release/table_scale
-scale_elapsed=$(( $(date +%s) - scale_start ))
-echo "    scale gate finished in ${scale_elapsed}s (bound: 60 s)"
-[ "$scale_elapsed" -lt 60 ]
-test -s target/BENCH_scale.json
-
 echo "CI gate passed."

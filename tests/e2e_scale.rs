@@ -1,12 +1,6 @@
-//! Sharded-engine determinism e2e: the same seeded scenario run at
-//! `ATHENA_THREADS=1` and `ATHENA_THREADS=8` through `ShardedNetwork`
-//! must produce byte-identical counters, flow tables, controller
-//! installs, and active-flow sets. The shard engine's phases (parallel
-//! routing rounds, seg-stream offer/credit replay, batched packet-in
-//! pipeline, timing-wheel expiry) may only change *how fast* the tick
-//! completes, never its outcome — ordered reduction in
-//! `athena-parallel` plus width-invariant seg-stream chunking are what
-//! make this hold.
+//! Fat-tree determinism e2e: the same seeded scenario run twice through
+//! `Network` must produce byte-identical counters, flow tables,
+//! controller installs, and active-flow sets.
 //!
 //! Two scenarios cover the interesting regimes on a fat-tree (ECMP
 //! multipath) fabric:
@@ -14,29 +8,14 @@
 //!      packet-in path, flow-table churn, and congestion crediting all
 //!      run hot;
 //!   2. a chaos schedule (switch wipe, reboot, link degradation and
-//!      recovery) applied mid-run at fixed virtual times — the
-//!      cross-shard handoff and wheel re-arm paths run under topology
+//!      recovery) applied mid-run at fixed virtual times — the reactive
+//!      re-install and timing-wheel re-arm paths run under topology
 //!      damage.
 
 use athena::dataplane::workload::{self, DdosParams};
-use athena::dataplane::{
-    FlowSpec, LearningControllerStub, NetworkConfig, ShardPlan, ShardedNetwork, Topology,
-};
+use athena::dataplane::{FlowSpec, LearningControllerStub, Network, Topology};
 use athena::telemetry::Telemetry;
 use athena::types::{Dpid, SimDuration, SimTime};
-use std::sync::Mutex;
-
-/// Serializes runs: `ATHENA_THREADS` is process-global, and so is the
-/// worker pool's telemetry binding.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("ATHENA_THREADS", threads.to_string());
-    let out = f();
-    std::env::remove_var("ATHENA_THREADS");
-    out
-}
 
 /// k=4 fat-tree with 6 hosts per edge switch: 20 switches, 48 hosts,
 /// every inter-pod pair has multiple equal-cost paths (real ECMP
@@ -45,11 +24,10 @@ fn fabric() -> Topology {
     Topology::fat_tree_with_hosts(4, 6)
 }
 
-/// Everything a pool width could perturb, flattened to one comparable
-/// string: engine counters, controller installs, the active-flow set,
-/// and every switch's flow-table size (small fabric — full tables are
-/// cheap here, unlike the sampled digest in `table_scale`).
-fn digest(net: &ShardedNetwork, ctrl: &LearningControllerStub) -> String {
+/// Everything a run produces, flattened to one comparable string:
+/// engine counters, controller installs, the active-flow set, and every
+/// switch's flow-table size.
+fn digest(net: &Network, ctrl: &LearningControllerStub) -> String {
     let mut tables = String::new();
     for s in &net.topology().switches {
         if let Some(sw) = net.switch(s.dpid) {
@@ -83,81 +61,67 @@ fn ddos_flows(topo: &Topology) -> Vec<FlowSpec> {
     flows
 }
 
-/// Runs the DDoS scenario to completion at one pool width and returns
-/// its digest (plus the telemetry report when `tel` asks for one).
-fn run_ddos(threads: usize, check_names: bool) -> String {
-    with_threads(threads, || {
-        let topo = fabric();
-        let plan = ShardPlan::partition(&topo, 4);
-        let mut net = ShardedNetwork::with_plan(topo.clone(), NetworkConfig::default(), plan);
-        let tel = Telemetry::new();
-        if check_names {
-            net.bind_telemetry(&tel);
-        }
-        let mut ctrl = LearningControllerStub::for_topology(topo);
-        net.inject_flows(ddos_flows(net.topology()));
-        net.run_until(SimTime::from_secs(14), &mut ctrl);
-        if check_names {
-            net.flush_gauges();
-            // Every key the sharded engine emits is declared in the
-            // telemetry registry (scale/* and dataplane/wheel_*).
-            assert_eq!(
-                athena::telemetry::names::undeclared(&tel.report()),
-                Vec::<String>::new()
-            );
-        }
-        digest(&net, &ctrl)
-    })
+/// Runs the DDoS scenario to completion and returns its digest; with
+/// `check_names`, also binds telemetry and checks the emitted keys.
+fn run_ddos(check_names: bool) -> String {
+    let topo = fabric();
+    let mut net = Network::new(topo.clone());
+    let tel = Telemetry::new();
+    if check_names {
+        net.bind_telemetry(&tel);
+    }
+    let mut ctrl = LearningControllerStub::for_topology(topo);
+    net.inject_flows(ddos_flows(net.topology()));
+    net.run_until(SimTime::from_secs(14), &mut ctrl);
+    if check_names {
+        net.flush_gauges();
+        // Every key the engine emits is declared in the telemetry
+        // registry (dataplane/wheel_* included).
+        assert_eq!(
+            athena::telemetry::names::undeclared(&tel.report()),
+            Vec::<String>::new()
+        );
+    }
+    digest(&net, &ctrl)
 }
 
 /// Runs the chaos scenario: fixed virtual-time schedule of switch and
 /// link damage, interleaved with the engine's own expiry and routing.
-fn run_chaos(threads: usize) -> String {
-    with_threads(threads, || {
-        let topo = fabric();
-        let plan = ShardPlan::partition(&topo, 4);
-        let mut net = ShardedNetwork::with_plan(topo.clone(), NetworkConfig::default(), plan);
-        let mut ctrl = LearningControllerStub::for_topology(topo);
-        let flows =
-            workload::benign_mix_on(net.topology(), 180, SimDuration::from_secs(14), 7_701_001);
-        net.inject_flows(flows);
-        // Fat-tree k=4 dpids: pod p owns p*4+1..=p*4+4 (edges then
-        // aggs), cores start at 17. So 1 = pod-0 edge, 3 = pod-0 agg
-        // (1-3 is a real edge-agg link), 5/6 = pod-1 edges.
-        net.run_until(SimTime::from_secs(4), &mut ctrl);
-        assert!(net.wipe_switch(Dpid::new(5)) > 0, "pod-1 edge had flows");
-        assert!(net.set_link_state(Dpid::new(1), Dpid::new(3), 0.25) > 0);
-        net.run_until(SimTime::from_secs(7), &mut ctrl);
-        net.reboot_switch(Dpid::new(6));
-        assert!(net.set_link_state(Dpid::new(1), Dpid::new(3), 1.0) > 0);
-        net.run_until(SimTime::from_secs(10), &mut ctrl);
-        assert!(net.wipe_switch(Dpid::new(17)) > 0, "core had flows");
-        net.run_until(SimTime::from_secs(16), &mut ctrl);
-        digest(&net, &ctrl)
-    })
+fn run_chaos() -> String {
+    let topo = fabric();
+    let mut net = Network::new(topo.clone());
+    let mut ctrl = LearningControllerStub::for_topology(topo);
+    let flows = workload::benign_mix_on(net.topology(), 180, SimDuration::from_secs(14), 7_701_001);
+    net.inject_flows(flows);
+    // Fat-tree k=4 dpids: pod p owns p*4+1..=p*4+4 (edges then aggs),
+    // cores start at 17. So 1 = pod-0 edge, 3 = pod-0 agg (1-3 is a
+    // real edge-agg link), 5/6 = pod-1 edges.
+    net.run_until(SimTime::from_secs(4), &mut ctrl);
+    assert!(net.wipe_switch(Dpid::new(5)) > 0, "pod-1 edge had flows");
+    assert!(net.set_link_state(Dpid::new(1), Dpid::new(3), 0.25) > 0);
+    net.run_until(SimTime::from_secs(7), &mut ctrl);
+    net.reboot_switch(Dpid::new(6));
+    assert!(net.set_link_state(Dpid::new(1), Dpid::new(3), 1.0) > 0);
+    net.run_until(SimTime::from_secs(10), &mut ctrl);
+    assert!(net.wipe_switch(Dpid::new(17)) > 0, "core had flows");
+    let before = net.delivered_bytes();
+    net.run_until(SimTime::from_secs(16), &mut ctrl);
+    assert!(net.delivered_bytes() > before, "traffic recovers");
+    digest(&net, &ctrl)
 }
 
 #[test]
-fn ddos_on_fat_tree_is_byte_identical_across_widths() {
-    let reference = run_ddos(1, true);
+fn ddos_on_fat_tree_is_byte_identical_across_reruns() {
+    let reference = run_ddos(true);
     assert!(
         reference.contains("packet_ins"),
         "digest carries the counter block: {reference}"
     );
-    for w in [2, 4, 8] {
-        let got = run_ddos(w, false);
-        assert_eq!(
-            got, reference,
-            "sharded engine diverged at ATHENA_THREADS={w}"
-        );
-    }
+    assert_eq!(run_ddos(false), reference, "DDoS rerun diverged");
 }
 
 #[test]
-fn chaos_schedule_is_byte_identical_across_widths() {
-    let reference = run_chaos(1);
-    for w in [2, 4, 8] {
-        let got = run_chaos(w);
-        assert_eq!(got, reference, "chaos run diverged at ATHENA_THREADS={w}");
-    }
+fn chaos_schedule_is_byte_identical_across_reruns() {
+    let reference = run_chaos();
+    assert_eq!(run_chaos(), reference, "chaos rerun diverged");
 }

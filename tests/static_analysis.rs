@@ -77,7 +77,7 @@ fn derived_lock_graph_is_cycle_free_and_ordered() {
 fn hot_propagation_reaches_transitive_helpers() {
     // None of these files appears in [analyze] hot_entries: they are
     // reached only through the call graph (forwarding path → match/route
-    // helpers; sharded engine → ordered fan-out). The old hand-maintained
+    // helpers; tick crediting → link contention). The old hand-maintained
     // per-file hot list never covered them. (`topology.rs::shortest_path`
     // used to be on this list; the ECMP controller stub now routes over
     // cached BFS distance maps built from `Topology::adjacency`, so the
@@ -87,7 +87,7 @@ fn hot_propagation_reaches_transitive_helpers() {
         "crates/openflow/src/match_fields.rs::matches",
         "crates/dataplane/src/topology.rs::adjacency",
         "crates/openflow/src/table.rs::lookup_at",
-        "crates/parallel/src/lib.rs::run_ordered",
+        "crates/dataplane/src/link.rs::settle_tick",
     ] {
         assert!(
             analysis.hot_functions.iter().any(|h| h == expected),
